@@ -112,6 +112,16 @@ impl<S: StackSlot> SegmentAllocator<S> {
         self.pool.len()
     }
 
+    /// Whether `buf` is one of the pooled buffers.
+    pub fn is_pooled(&self, buf: &Buffer<S>) -> bool {
+        self.pool.iter().any(|b| Rc::ptr_eq(b, buf))
+    }
+
+    /// The most buffers the pool keeps.
+    pub fn pool_cap(&self) -> usize {
+        self.pool_cap
+    }
+
     /// Remaining allocation budget in slots, if a cap was configured.
     pub fn budget_remaining(&self) -> Option<usize> {
         self.budget

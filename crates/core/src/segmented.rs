@@ -11,7 +11,8 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::ops::Range;
+use std::rc::{Rc, Weak};
 
 use segstack_trace::{EventKind, NoopSink, TraceSink};
 
@@ -32,8 +33,13 @@ const EMPTY_RECORD_RA: CodeAddr = CodeAddr::new(u32::MAX, u32::MAX);
 /// A sealed stack segment: the paper's stack record, in its continuation
 /// role.
 struct SealedSeg<S: StackSlot> {
-    /// The (possibly shared) buffer this record points into.
-    buf: Buffer<S>,
+    /// The (possibly shared) buffer this record points into, or `None` once
+    /// the relink fast path adopted this record's segment as the live stack.
+    /// A consumed record must never be reinstated again (its slots are being
+    /// overwritten by live execution); the unshared-handle precondition
+    /// makes this unreachable, so the missing buffer is a defensive poison
+    /// checked by `reinstate` and `audit_invariants`.
+    buf: Option<Buffer<S>>,
     /// Base of the sealed segment within `buf`.
     base: usize,
     /// Occupied size in slots.
@@ -43,12 +49,30 @@ struct SealedSeg<S: StackSlot> {
     ra: CodeAddr,
     /// The next stack record down, or `None` for the exit routine.
     link: Option<Continuation<S>>,
-    /// Set when the relink fast path adopted this record's segment as the
-    /// live stack. A consumed record must never be reinstated again (its
-    /// slots are being overwritten by live execution); the unshared-handle
-    /// precondition makes this unreachable, so the flag is a defensive
-    /// poison checked by `reinstate` and `audit_invariants`.
-    consumed: bool,
+}
+
+impl<S: StackSlot> SealedSeg<S> {
+    /// A record sealing `[base, base + size)` of `buf`.
+    fn new(
+        buf: Buffer<S>,
+        base: usize,
+        size: usize,
+        ra: CodeAddr,
+        link: Option<Continuation<S>>,
+    ) -> Self {
+        SealedSeg { buf: Some(buf), base, size, ra, link }
+    }
+
+    /// The record's buffer; callers check [`consumed`](Self::consumed)
+    /// first.
+    fn buf(&self) -> &Buffer<S> {
+        self.buf.as_ref().expect("a consumed record has no buffer")
+    }
+
+    /// Whether a relink adopted this record's segment as the live stack.
+    fn consumed(&self) -> bool {
+        self.buf.is_none()
+    }
 }
 
 impl<S: StackSlot> fmt::Debug for SealedSeg<S> {
@@ -58,7 +82,7 @@ impl<S: StackSlot> fmt::Debug for SealedSeg<S> {
             .field("size", &self.size)
             .field("ra", &self.ra)
             .field("linked", &self.link.is_some())
-            .field("consumed", &self.consumed)
+            .field("consumed", &self.consumed())
             .finish()
     }
 }
@@ -76,12 +100,90 @@ impl<S: StackSlot> Drop for SegKont<S> {
         // Record chains can be long (one record per overflow), and segment
         // buffers hold continuation values pointing at further buffers;
         // tear both down iteratively.
-        let mut s = self.0.borrow_mut();
+        let s = self.0.get_mut();
         if let Some(link) = s.link.take() {
             crate::drops::defer_drop(link);
         }
-        let empty: Buffer<S> = Rc::new(RefCell::new(Vec::new().into_boxed_slice()));
-        crate::drops::defer_drop(std::mem::replace(&mut s.buf, empty));
+        // A consumed record's region is live stack again: leave it alone.
+        let Some(buf) = s.buf.take() else { return };
+        if s.size > 0 && Rc::strong_count(&buf) > 1 {
+            // The buffer outlives this record (other records or the live
+            // stack share it), but nothing can read the record's region any
+            // more. Its values may be continuations whose records point back
+            // into this buffer; left in place, that cycle would pin the
+            // whole buffer for good.
+            crate::drops::defer_drop(DeadRegion {
+                buf: buf.clone(),
+                range: s.base..s.base + s.size,
+            });
+        }
+        crate::drops::defer_drop(buf);
+    }
+}
+
+/// A buffer handle that does not keep the buffer alive.
+type WeakBuffer<S> = Weak<RefCell<Box<[S]>>>;
+
+/// Slots no stack record and no live frame can read any more. Dropping a
+/// `DeadRegion` empties them; pass it to
+/// [`defer_drop`](crate::drops::defer_drop) so whatever the slots held is
+/// torn down iteratively.
+///
+/// Regions die at a few cold points: a record's last handle drops, or the
+/// live stack leaves a buffer (overflow, reinstatement into a fresh
+/// segment, reset, and, deferred, a cross-buffer relink). If the buffer is
+/// borrowed when its region dies (the record's last handle was overwritten
+/// by a write into that very buffer), the clear waits in a thread-local
+/// queue that every cold stack operation drains first, before anything
+/// can make the region live again.
+struct DeadRegion<S: StackSlot> {
+    buf: Buffer<S>,
+    range: Range<usize>,
+}
+
+impl<S: StackSlot> Drop for DeadRegion<S> {
+    fn drop(&mut self) {
+        match self.buf.try_borrow_mut() {
+            // Values drop in place. A record they release that shares this
+            // buffer queues its own region behind this one (we are inside
+            // `defer_drop`), so it runs once this borrow has ended.
+            Ok(mut b) => b[self.range.clone()].fill_with(S::empty),
+            Err(_) => {
+                let buf: Weak<dyn ClearDead> = Rc::downgrade(&self.buf) as WeakBuffer<S>;
+                PENDING_CLEARS.with(|p| p.borrow_mut().push((buf, self.range.clone())));
+            }
+        }
+    }
+}
+
+/// A buffer whose dead slots can be cleared later without knowing its slot
+/// type (the queue of waiting clears is thread-local, so not generic).
+trait ClearDead {
+    fn clear_dead(self: Rc<Self>, range: Range<usize>);
+}
+
+impl<S: StackSlot> ClearDead for RefCell<Box<[S]>> {
+    fn clear_dead(self: Rc<Self>, range: Range<usize>) {
+        crate::drops::defer_drop(DeadRegion { buf: self, range });
+    }
+}
+
+/// A dead region whose clear waits for its buffer's borrow to end.
+type PendingClear = (Weak<dyn ClearDead>, Range<usize>);
+
+thread_local! {
+    /// Dead regions whose buffer was borrowed when they died.
+    static PENDING_CLEARS: RefCell<Vec<PendingClear>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs the waiting clears. Called at the start of every cold stack
+/// operation: only those can make a dead region live again.
+fn run_pending_clears() {
+    let pending = PENDING_CLEARS.with(|p| std::mem::take(&mut *p.borrow_mut()));
+    for (buf, range) in pending {
+        if let Some(buf) = buf.upgrade() {
+            buf.clear_dead(range);
+        }
     }
 }
 
@@ -191,6 +293,13 @@ pub struct SegmentedStack<S: StackSlot, T: TraceSink = NoopSink> {
     fp: usize,
     /// Link field of the current stack record.
     link: Option<Continuation<S>>,
+    /// Buffers a cross-buffer relink left, each with the base the live
+    /// stack had in it: everything from there up is dead. Clearing that on
+    /// the relink itself would cost a whole segment per coroutine switch,
+    /// so it waits for the next segment allocation (or for the list to pass
+    /// the pool size), and an entry is dropped if a relink adopts its
+    /// buffer again first.
+    left: Vec<(WeakBuffer<S>, usize)>,
     metrics: Metrics,
     /// Trace-event destination; [`NoopSink`] by default.
     sink: T,
@@ -222,7 +331,19 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         let buf = alloc.alloc(cfg.segment_slots(), &mut metrics)?;
         let end = buf.borrow().len();
         buf.borrow_mut()[0] = S::from_return_address(ReturnAddress::Exit);
-        Ok(SegmentedStack { code, cfg, alloc, buf, base: 0, end, fp: 0, link: None, metrics, sink })
+        Ok(SegmentedStack {
+            code,
+            cfg,
+            alloc,
+            buf,
+            base: 0,
+            end,
+            fp: 0,
+            link: None,
+            left: Vec::new(),
+            metrics,
+            sink,
+        })
     }
 
     /// The trace sink (shared access, e.g. for readouts in tests).
@@ -262,30 +383,54 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         self.alloc.pooled()
     }
 
+    /// Allocates a segment buffer, first clearing the dead tails of the
+    /// buffers relinks left.
+    fn alloc_segment(&mut self, min_len: usize) -> Result<Buffer<S>, StackError> {
+        self.clear_left();
+        self.alloc.alloc(min_len, &mut self.metrics)
+    }
+
+    /// The live stack has moved off `old`, whose slots from `from` to the
+    /// old segment end are dead: clears them, then offers the buffer to the
+    /// pool (which takes it only if no record shares it).
+    fn leave(&mut self, old: Buffer<S>, from: usize) {
+        crate::drops::defer_drop(DeadRegion { buf: old.clone(), range: from..self.end });
+        self.alloc.retire(old);
+    }
+
+    /// Clears the dead tails of the buffers cross-buffer relinks left and
+    /// empties the list. A listed buffer the pool holds is unshared, so no
+    /// cycle can run through it: its entry is just dropped, and the pool
+    /// hands it out again as it is (a deep recursion unwinding through its
+    /// segments pays nothing here).
+    fn clear_left(&mut self) {
+        for (buf, from) in self.left.drain(..) {
+            if let Some(buf) = buf.upgrade().filter(|b| !self.alloc.is_pooled(b)) {
+                let len = buf.borrow().len();
+                crate::drops::defer_drop(DeadRegion { buf, range: from..len });
+            }
+        }
+    }
+
     /// Overflow recovery: "If stack overflow can be detected while the
     /// system is in a known state, overflow can be treated as an implicit
     /// continuation capture" (§5). Seals everything through the caller's
     /// frame (including the staged partial frame boundary) and moves only
     /// the partial frame to a fresh segment.
     fn overflow_call(&mut self, d: usize, ra: CodeAddr, nargs: usize) -> Result<(), StackError> {
+        run_pending_clears();
         self.metrics.overflows += 1;
         let seal_top = self.fp + d;
         self.sink.emit(EventKind::OverflowBegin, (seal_top - self.base) as u64, nargs as u64);
         let reused_before = self.metrics.segments_reused;
-        let newbuf = self.alloc.alloc(self.cfg.segment_slots(), &mut self.metrics)?;
+        let newbuf = self.alloc_segment(self.cfg.segment_slots())?;
         self.sink.emit(
             EventKind::SegmentAlloc,
             newbuf.borrow().len() as u64,
             (self.metrics.segments_reused > reused_before) as u64,
         );
-        let sealed = SealedSeg {
-            buf: self.buf.clone(),
-            base: self.base,
-            size: seal_top - self.base,
-            ra,
-            link: self.link.take(),
-            consumed: false,
-        };
+        let sealed =
+            SealedSeg::new(self.buf.clone(), self.base, seal_top - self.base, ra, self.link.take());
         self.metrics.stack_records_allocated += 1;
         let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
         let newlen = newbuf.borrow().len();
@@ -298,7 +443,10 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             }
         }
         self.metrics.slots_copied += nargs as u64;
-        self.buf = newbuf;
+        // Above the seal (at most two frame bounds) the old buffer is dead:
+        // the partial frame was just copied out.
+        let old = std::mem::replace(&mut self.buf, newbuf);
+        self.leave(old, seal_top);
         self.base = 0;
         self.end = newlen;
         self.fp = 0;
@@ -319,25 +467,18 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         let mut s = kont.0.borrow_mut();
         let top = s.base + s.size;
         let sp = {
-            let buf = s.buf.borrow();
+            let buf = s.buf().borrow();
             split_point(&buf, s.base, top, s.ra, &*self.code, self.cfg.copy_bound())
         };
         let Some(sp) = sp else { return };
-        let bottom_ra = s.buf.borrow()[sp]
+        let bottom_ra = s.buf().borrow()[sp]
             .as_return_address()
             .expect("split point must be a frame base")
             .code()
             .expect("a frame base above the segment base holds a code return address");
-        let bottom = SealedSeg {
-            buf: s.buf.clone(),
-            base: s.base,
-            size: sp - s.base,
-            ra: bottom_ra,
-            link: s.link.take(),
-            consumed: false,
-        };
+        let bottom = SealedSeg::new(s.buf().clone(), s.base, sp - s.base, bottom_ra, s.link.take());
         let deferred = bottom.size;
-        s.buf.borrow_mut()[sp] = S::from_return_address(ReturnAddress::Underflow);
+        s.buf().borrow_mut()[sp] = S::from_return_address(ReturnAddress::Underflow);
         s.base = sp;
         s.size = top - sp;
         s.link = Some(Continuation::from_repr(Rc::new(SegKont(RefCell::new(bottom)))));
@@ -384,10 +525,10 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         let head = k.repr().as_any().downcast_ref::<SegKont<S>>()?;
         let (head_buf, head_base, size, ra) = {
             let s = head.0.borrow();
-            if s.consumed || s.size == 0 {
+            if s.consumed() || s.size == 0 {
                 return None;
             }
-            (s.buf.clone(), s.base, s.size, s.ra)
+            (s.buf().clone(), s.base, s.size, s.ra)
         };
         let disp = self.code.displacement(ra);
         if disp == 0 || disp > size {
@@ -432,10 +573,10 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                 };
                 let next = {
                     let s = sk.0.borrow();
-                    if s.consumed {
+                    if s.consumed() {
                         break;
                     }
-                    if Rc::ptr_eq(&s.buf, &head_buf) {
+                    if Rc::ptr_eq(s.buf(), &head_buf) {
                         tally += 1;
                     }
                     s.link.clone()
@@ -456,14 +597,23 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         // second reinstatement cannot read slots live execution now owns.
         let link = {
             let mut s = head.0.borrow_mut();
-            s.consumed = true;
             s.size = 0;
-            s.buf = Rc::new(RefCell::new(Vec::new().into_boxed_slice()));
+            s.buf = None;
             s.link.take()
         };
         let old = std::mem::replace(&mut self.buf, head_buf);
         if !Rc::ptr_eq(&old, &self.buf) {
+            // Remember the dead tail of the buffer left behind instead of
+            // clearing it here; forget the adopted buffer's own entry.
+            let adopted = Rc::as_ptr(&self.buf);
+            self.left.retain(|(b, _)| b.strong_count() > 0 && b.as_ptr() != adopted);
+            self.left.push((Rc::downgrade(&old), self.base));
+            // Retire first, so an unshared buffer is pooled (and skipped)
+            // by the time the list is cleared.
             self.alloc.retire(old);
+            if self.left.len() > self.alloc.pool_cap().max(1) {
+                self.clear_left();
+            }
         }
         self.base = head_base;
         self.end = buf_len;
@@ -489,6 +639,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         k: &Continuation<S>,
         owned: bool,
     ) -> Result<ReturnAddress, StackError> {
+        run_pending_clears();
         // Unshared owned chain: relink instead of copying. The whole
         // switch is ~1µs of pointer swaps, so it gets exactly one packed
         // ring write (the `Relink` event inside `try_relink`) instead of a
@@ -536,7 +687,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                 return Err(StackError::ForeignContinuation { strategy: "segmented" });
             };
             let sealed = sk.0.borrow();
-            if sealed.consumed {
+            if sealed.consumed() {
                 // A relink consumed this record; reinstating it again
                 // would read slots live execution now owns.
                 return Err(StackError::OneShotReused);
@@ -576,11 +727,11 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         self.maybe_split(kont);
         let (src_buf, src_base, size, ra, klink) = {
             let s = kont.0.borrow();
-            (s.buf.clone(), s.base, s.size, s.ra, s.link.clone())
+            (s.buf().clone(), s.base, s.size, s.ra, s.link.clone())
         };
         if self.base + size + self.cfg.esp_reserve() > self.end {
             let reused_before = self.metrics.segments_reused;
-            let newbuf = self.alloc.alloc(size + self.cfg.esp_reserve(), &mut self.metrics)?;
+            let newbuf = self.alloc_segment(size + self.cfg.esp_reserve())?;
             let newlen = newbuf.borrow().len();
             self.sink.emit(
                 EventKind::SegmentAlloc,
@@ -588,7 +739,9 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                 (self.metrics.segments_reused > reused_before) as u64,
             );
             let old = std::mem::replace(&mut self.buf, newbuf);
-            self.alloc.retire(old);
+            // The abandoned live region is dead (a source record in the
+            // same buffer lies below it).
+            self.leave(old, self.base);
             self.base = 0;
             self.end = newlen;
         }
@@ -672,12 +825,12 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             };
             let next = {
                 let s = sk.0.borrow();
-                if s.consumed {
+                if s.consumed() {
                     return Err(format!(
                         "record {depth} was consumed by a relink but is still reachable"
                     ));
                 }
-                let sbuf = s.buf.borrow();
+                let sbuf = s.buf().borrow();
                 if s.base + s.size > sbuf.len() {
                     return Err(format!(
                         "record {depth} overruns its buffer: base={} size={} buf={}",
@@ -872,14 +1025,11 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
                 // defeat the relink fast path's buffer accounting, and a
                 // relinked record needs no salvage: its buffer *became*
                 // the live segment.
-                let salvage = k.repr().as_any().downcast_ref::<SegKont<S>>().and_then(|sk| {
-                    let s = sk.0.borrow();
-                    if s.consumed {
-                        None
-                    } else {
-                        Some(s.buf.clone())
-                    }
-                });
+                let salvage = k
+                    .repr()
+                    .as_any()
+                    .downcast_ref::<SegKont<S>>()
+                    .and_then(|sk| sk.0.borrow().buf.clone());
                 drop(k);
                 if let Some(buf) = salvage {
                     if !Rc::ptr_eq(&buf, &self.buf) {
@@ -893,6 +1043,7 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
     }
 
     fn capture(&mut self) -> Continuation<S> {
+        run_pending_clears();
         self.metrics.captures += 1;
         if self.fp == self.base {
             if self.cfg.tail_capture_rule() {
@@ -908,14 +1059,8 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
             // a fresh empty record on every capture. "The control stack
             // would grow progressively longer and the program would
             // eventually run out of memory" (§4).
-            let sealed = SealedSeg {
-                buf: self.buf.clone(),
-                base: self.base,
-                size: 0,
-                ra: EMPTY_RECORD_RA,
-                link: self.link.take(),
-                consumed: false,
-            };
+            let sealed =
+                SealedSeg::new(self.buf.clone(), self.base, 0, EMPTY_RECORD_RA, self.link.take());
             self.metrics.stack_records_allocated += 1;
             let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
             self.link = Some(k.clone());
@@ -927,14 +1072,13 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
             .expect("frame base must hold a return address")
             .code()
             .expect("a live frame above the segment base has a code return address");
-        let sealed = SealedSeg {
-            buf: self.buf.clone(),
-            base: self.base,
-            size: self.fp - self.base,
-            ra: live_ra,
-            link: self.link.take(),
-            consumed: false,
-        };
+        let sealed = SealedSeg::new(
+            self.buf.clone(),
+            self.base,
+            self.fp - self.base,
+            live_ra,
+            self.link.take(),
+        );
         self.metrics.stack_records_allocated += 1;
         let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
         self.buf.borrow_mut()[self.fp] = S::from_return_address(ReturnAddress::Underflow);
@@ -1016,7 +1160,7 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
                         return out;
                     }
                     pos = sealed.base + sealed.size - self.code.displacement(sealed.ra);
-                    buf = sealed.buf.clone();
+                    buf = sealed.buf().clone();
                     link = sealed.link.clone();
                 }
                 ReturnAddress::Exit => return out,
@@ -1025,14 +1169,14 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
     }
 
     fn reset(&mut self) {
+        run_pending_clears();
         self.link = None;
         if Rc::strong_count(&self.buf) > 1 || self.buf.borrow().len() < self.cfg.segment_slots() {
             let fresh = self
-                .alloc
-                .alloc(self.cfg.segment_slots(), &mut self.metrics)
+                .alloc_segment(self.cfg.segment_slots())
                 .expect("segment budget exhausted during reset");
             let old = std::mem::replace(&mut self.buf, fresh);
-            self.alloc.retire(old);
+            self.leave(old, self.base);
         }
         self.end = self.buf.borrow().len();
         self.base = 0;
@@ -1042,6 +1186,22 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
 
     fn trace_summaries(&self) -> Vec<(EventKind, segstack_trace::HistSummary)> {
         self.sink.stats()
+    }
+}
+
+impl<S: StackSlot, T: TraceSink> Drop for SegmentedStack<S, T> {
+    fn drop(&mut self) {
+        // The live stack leaves every buffer for good: records that outlive
+        // the machine must not keep its dead slots (and what they pin).
+        run_pending_clears();
+        self.link = None;
+        if Rc::strong_count(&self.buf) > 1 {
+            crate::drops::defer_drop(DeadRegion {
+                buf: self.buf.clone(),
+                range: self.base..self.end,
+            });
+        }
+        self.clear_left();
     }
 }
 
@@ -1643,5 +1803,273 @@ mod ablation_tests {
         assert_eq!(sim::unwind_all(&mut stack), 5);
         assert_eq!(stack.reinstate(&k1).unwrap(), ReturnAddress::Code(ras[4]));
         assert_eq!(sim::unwind_all(&mut stack), 5);
+    }
+}
+
+#[cfg(test)]
+mod leak_tests {
+    //! Dead slots must not keep buffers alive. Each test leaves a
+    //! continuation in a slot nothing can read any more, whose record lives
+    //! in that same buffer (the cycle buffer → slot → record → buffer), and
+    //! checks through a `Weak` that the buffer is freed once the handles
+    //! drop.
+    use super::*;
+    use crate::addr::TestCode;
+
+    /// A slot that can hold a continuation.
+    #[derive(Clone, Debug)]
+    enum KSlot {
+        Empty,
+        Int(i64),
+        Ra(ReturnAddress),
+        /// Never read: it only keeps its record alive.
+        #[allow(dead_code)]
+        K(Continuation<KSlot>),
+    }
+
+    impl StackSlot for KSlot {
+        fn from_return_address(ra: ReturnAddress) -> Self {
+            KSlot::Ra(ra)
+        }
+
+        fn as_return_address(&self) -> Option<ReturnAddress> {
+            match self {
+                KSlot::Ra(ra) => Some(*ra),
+                _ => None,
+            }
+        }
+
+        fn empty() -> Self {
+            KSlot::Empty
+        }
+    }
+
+    type Stack = SegmentedStack<KSlot>;
+    type WeakBuf = WeakBuffer<KSlot>;
+
+    /// 256-slot segments, frame bound 16: `esp` sits at 224.
+    fn setup() -> (Rc<TestCode>, Stack) {
+        let cfg =
+            Config::builder().segment_slots(256).frame_bound(16).copy_bound(32).build().unwrap();
+        let code = Rc::new(TestCode::new());
+        let stack = SegmentedStack::new(cfg, code.clone() as Rc<dyn FrameSizeTable>).unwrap();
+        (code, stack)
+    }
+
+    /// Stages one integer argument and calls with displacement `d`.
+    fn call(stack: &mut Stack, code: &TestCode, d: usize, arg: i64) -> CodeAddr {
+        let ra = code.ret_point(d);
+        stack.set(d + 1, KSlot::Int(arg));
+        stack.call(d, ra, 1, true).unwrap();
+        ra
+    }
+
+    fn live_buf(stack: &Stack) -> WeakBuf {
+        Rc::downgrade(&stack.buf)
+    }
+
+    fn is_live(stack: &Stack, buf: &WeakBuf) -> bool {
+        buf.upgrade().is_some_and(|b| Rc::ptr_eq(&b, &stack.buf))
+    }
+
+    #[test]
+    fn overflow_clears_the_tail_above_the_seal() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let k = stack.capture(); // [0, 4) of the first buffer
+        let first = live_buf(&stack);
+        // Above where the overflow will seal (it seals at 228).
+        let fp = stack.fp();
+        stack.set(250 - fp, KSlot::K(k));
+        while stack.metrics().overflows == 0 {
+            call(&mut stack, &code, 8, 1);
+        }
+        assert!(!is_live(&stack, &first));
+        // Abandon the whole stack: only the stale slot could reach `k`.
+        stack.reinstate(&Continuation::exit()).unwrap();
+        assert!(first.upgrade().is_none(), "the first buffer is pinned by its stale tail");
+    }
+
+    #[test]
+    fn reinstating_into_a_fresh_segment_clears_the_abandoned_region() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let k = stack.capture(); // [0, 4)
+        for i in 0..27 {
+            call(&mut stack, &code, 8, i);
+        }
+        call(&mut stack, &code, 2, 0);
+        let top = stack.capture(); // [4, 222): the base is now too high for `k`
+        let first = live_buf(&stack);
+        stack.set(1, KSlot::K(k.clone()));
+        let allocated = stack.metrics().segments_allocated;
+        stack.reinstate(&k).unwrap();
+        assert_eq!(stack.metrics().segments_allocated, allocated + 1, "copied to a fresh segment");
+        stack.audit_invariants().unwrap();
+        drop((k, top));
+        assert!(first.upgrade().is_none(), "the old buffer is pinned by its abandoned region");
+    }
+
+    #[test]
+    fn a_relink_defers_clearing_the_buffer_it_leaves_to_the_next_allocation() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let k = stack.capture_one_shot(); // [0, 4) of the first buffer
+        stack.reset(); // the record holds the first buffer: move to a second
+        let second = live_buf(&stack);
+        call(&mut stack, &code, 4, 1);
+        let m = stack.capture(); // [0, 4) of the second buffer
+        stack.set(1, KSlot::K(m));
+        stack.reinstate(&k).unwrap();
+        assert_eq!(stack.metrics().reinstates_relinked, 1);
+        assert!(!is_live(&stack, &second));
+        assert!(second.upgrade().is_some(), "the relink itself clears nothing");
+        while stack.metrics().overflows == 0 {
+            call(&mut stack, &code, 8, 2);
+        }
+        assert!(second.upgrade().is_none(), "the allocation cleared the left buffer's tail");
+        stack.audit_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_dead_record_clears_continuations_inside_its_region() {
+        // The ctak shape: a continuation saved in a frame that a later
+        // capture seals.
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let k0 = stack.capture(); // [0, 4)
+        stack.set(1, KSlot::K(k0));
+        call(&mut stack, &code, 4, 1);
+        let k1 = stack.capture(); // [4, 8), holding `k0`
+        let first = live_buf(&stack);
+        stack.reset(); // `k1` still holds the buffer: move to a fresh one
+        assert!(!is_live(&stack, &first));
+        assert!(first.upgrade().is_some());
+        drop(k1);
+        assert!(first.upgrade().is_none(), "the buffer is pinned by a dead record's region");
+    }
+
+    #[test]
+    fn one_shot_ping_pong_frees_both_buffers() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let mut parked = stack.capture_one_shot();
+        let first = live_buf(&stack);
+        stack.reset();
+        let second = live_buf(&stack);
+        for round in 0..6 {
+            call(&mut stack, &code, 4, round);
+            let m = stack.capture();
+            call(&mut stack, &code, 4, round);
+            let k = stack.capture_one_shot();
+            // Left above the live frame, holding a record sealed below it.
+            stack.set(1, KSlot::K(m));
+            stack.reinstate(&parked).unwrap();
+            stack.audit_invariants().unwrap();
+            parked = k;
+        }
+        assert_eq!(stack.metrics().reinstates_relinked, 6, "every switch relinked");
+        assert!(first.upgrade().is_some() && second.upgrade().is_some());
+        drop(parked);
+        drop(stack);
+        assert!(first.upgrade().is_none(), "the first buffer leaked");
+        assert!(second.upgrade().is_none(), "the second buffer leaked");
+    }
+
+    #[test]
+    fn a_record_dying_under_a_borrow_of_its_buffer_is_cleared_later() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let outside = stack.capture(); // [0, 4): holds the buffer from outside
+        call(&mut stack, &code, 4, 1);
+        let k0 = stack.capture(); // [4, 8)
+        stack.set(1, KSlot::K(k0));
+        call(&mut stack, &code, 4, 2);
+        let k1 = stack.capture(); // [8, 12), holding `k0`
+        stack.set(1, KSlot::K(k1)); // soon the only handle to [8, 12)
+        let first = live_buf(&stack);
+        stack.reinstate(&Continuation::exit()).unwrap();
+        // The record dies inside the write that overwrites its last handle,
+        // while that write borrows the record's own buffer.
+        stack.set(1, KSlot::Int(0));
+        assert!(PENDING_CLEARS.with(|p| !p.borrow().is_empty()), "the clear waits");
+        stack.reset(); // runs it; `outside` holds the buffer, so move off it
+        assert!(!is_live(&stack, &first));
+        drop(outside);
+        assert!(first.upgrade().is_none(), "the waiting clear was lost");
+    }
+
+    /// Unwinds every frame pushed as `(return point, argument)`, checking
+    /// each caller's argument on the way down.
+    fn unwind_checking(stack: &mut Stack, frames: &[(CodeAddr, i64)]) {
+        for i in (0..frames.len()).rev() {
+            assert_eq!(stack.ret().unwrap(), ReturnAddress::Code(frames[i].0), "return {i}");
+            if i > 0 {
+                let want = frames[i - 1].1;
+                assert!(
+                    matches!(stack.get(1), KSlot::Int(n) if n == want),
+                    "frame {i}: {:?}",
+                    stack.get(1)
+                );
+            }
+        }
+    }
+
+    /// Calls until the `n`th overflow, recording each frame.
+    fn push_until_overflow(
+        stack: &mut Stack,
+        code: &TestCode,
+        n: u64,
+        frames: &mut Vec<(CodeAddr, i64)>,
+    ) {
+        while stack.metrics().overflows < n {
+            let arg = frames.len() as i64;
+            frames.push((call(stack, code, 8, arg), arg));
+        }
+    }
+
+    #[test]
+    fn a_buffer_a_relink_adopts_again_is_never_cleared_while_live() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let ka = stack.capture_one_shot(); // in the first buffer
+        stack.reset();
+        let second = live_buf(&stack);
+        call(&mut stack, &code, 4, 1);
+        let kb = stack.capture_one_shot(); // in the second buffer
+        stack.reinstate(&ka).unwrap(); // leaves the second buffer
+        stack.reinstate(&kb).unwrap(); // adopts it again
+        assert_eq!(stack.metrics().reinstates_relinked, 2);
+        assert!(is_live(&stack, &second));
+        // Seal frames in it; the overflow's allocation clears what relinks
+        // left, which must no longer include this buffer.
+        let mut frames = Vec::new();
+        push_until_overflow(&mut stack, &code, 1, &mut frames);
+        stack.audit_invariants().unwrap();
+        unwind_checking(&mut stack, &frames);
+    }
+
+    #[test]
+    fn a_pooled_buffer_left_by_a_relink_is_never_cleared_while_live() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4, 0);
+        let k = stack.capture_one_shot();
+        stack.reset();
+        let second = live_buf(&stack);
+        stack.reinstate(&k).unwrap();
+        assert_eq!(stack.metrics().reinstates_relinked, 1);
+        assert_eq!(stack.pooled_segments(), 1, "the unshared buffer left behind is pooled");
+        assert_eq!(stack.left.len(), 1, "and listed");
+        // The overflow's allocation hands the pooled buffer out again.
+        let mut frames = Vec::new();
+        push_until_overflow(&mut stack, &code, 1, &mut frames);
+        assert!(is_live(&stack, &second), "the pooled buffer was reused");
+        assert_eq!(stack.metrics().segments_reused, 1);
+        // Seal frames in it, allocate twice more, then unwind through
+        // relinks that leave buffers again: nothing may clear what it holds.
+        push_until_overflow(&mut stack, &code, 3, &mut frames);
+        stack.audit_invariants().unwrap();
+        unwind_checking(&mut stack, &frames);
+        assert_eq!(stack.ret().unwrap(), ReturnAddress::Exit);
     }
 }

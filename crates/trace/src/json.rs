@@ -259,13 +259,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // A plain run, up to the next quote, backslash or
+                    // control byte. Those are all ASCII, so the run ends on
+                    // a character boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("bad utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -352,6 +355,24 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\":}", "01", "\"abc", "{} x", "{'a':1}", "[1 2]"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn multibyte_utf8_round_trips() {
+        // One-, two-, three- and four-byte characters, next to escapes.
+        let text = "plain é→世界🎉\"q\" \\ tab\tline\n".repeat(2000);
+        let quoted = text
+            .replace('\\', "\\\\")
+            .replace('"', "\\\"")
+            .replace('\t', "\\t")
+            .replace('\n', "\\n");
+        let doc = format!(r#"{{"{quoted}": ["{quoted}", "\u00e9🎉"]}}"#);
+        let v = parse(&doc).unwrap();
+        let (key, val) = &v.as_object().unwrap()[0];
+        assert_eq!(key, &text);
+        let items = val.as_array().unwrap();
+        assert_eq!(items[0], JsonValue::String(text.clone()));
+        assert_eq!(items[1], JsonValue::String("é🎉".into()));
     }
 
     #[test]
